@@ -2,14 +2,15 @@
 // cooperative sensing data, for the KITTI-style (64-beam) and T&J-style
 // (16-beam) sensors.
 //
-// Paper observation to preserve: fusing roughly doubles the input points but
-// adds only a small constant to detection time (~5 ms on the authors' GPU),
-// because the network's dense stages are resolution-bound, not point-bound.
-// Absolute numbers here are CPU milliseconds, so they are larger; the claim
-// under test is the *relative* overhead of Cooper vs single shot.
+// The paper observes that fusing roughly doubles the input points but adds
+// only a small constant to detection time (~5 ms on the authors' GPU),
+// because its network's dense stages are resolution-bound.  This detector
+// has no dense head: every stage scales with points and clusters, so the
+// overhead reported here is point-bound (CPU milliseconds; see
+// EXPERIMENTS.md Fig. 9).
 //
 // The report also breaks each stage down at 1 thread and at hardware
-// concurrency (the ThreadPool hot paths: voxelise, middle, proposals), and
+// concurrency (the ThreadPool hot paths: voxelise, proposals), and
 // checks the threading contract: detections are bit-identical at any thread
 // count.
 #include <benchmark/benchmark.h>
@@ -170,9 +171,6 @@ void ReportCase(const char* name, const PreparedCase& p, int hw) {
     double spod::StageTimings::*field;
   } rows[] = {{"preprocess", &spod::StageTimings::preprocess_us},
               {"voxelize", &spod::StageTimings::voxelize_us},
-              {"vfe", &spod::StageTimings::vfe_us},
-              {"middle", &spod::StageTimings::middle_us},
-              {"rpn", &spod::StageTimings::rpn_us},
               {"proposals", &spod::StageTimings::proposals_us}};
   for (const auto& row : rows) {
     table.AddRow({row.stage, FormatFixed(s1.*row.field / 1e3, 2),

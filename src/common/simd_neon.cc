@@ -12,31 +12,11 @@ namespace cooper::common::simd {
 namespace {
 
 using detail::DequantizeRowScalar;
-using detail::FillScalar;
 using detail::MaxIntoScalar;
 using detail::QuantizeRowScalar;
 using detail::RangeNonzeroFiniteScalar;
 using detail::ReluScalar;
 using detail::RigidTransformScalar;
-using detail::SaxpyScalar;
-
-void FillNeon(float* y, float v, std::size_t n) {
-  const float32x4_t vv = vdupq_n_f32(v);
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) vst1q_f32(y + i, vv);
-  FillScalar(y + i, v, n - i);
-}
-
-void SaxpyNeon(float* y, const float* x, float a, std::size_t n) {
-  const float32x4_t av = vdupq_n_f32(a);
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const float32x4_t xv = vld1q_f32(x + i);
-    const float32x4_t yv = vld1q_f32(y + i);
-    vst1q_f32(y + i, vaddq_f32(yv, vmulq_f32(av, xv)));
-  }
-  SaxpyScalar(y + i, x + i, a, n - i);
-}
 
 void ReluNeon(float* x, std::size_t n) {
   const float32x4_t zero = vdupq_n_f32(0.0f);
@@ -230,8 +210,6 @@ void RigidTransformNeon(const double rt[12], const double* in,
 
 const Kernels kNeonTable = {
     Tier::kNeon,
-    FillNeon,
-    SaxpyNeon,
     ReluNeon,
     MaxIntoNeon,
     RangeNonzeroFiniteNeon,

@@ -10,14 +10,6 @@
 namespace cooper::common::simd {
 namespace detail {
 
-void FillScalar(float* y, float v, std::size_t n) {
-  for (std::size_t i = 0; i < n; ++i) y[i] = v;
-}
-
-void SaxpyScalar(float* y, const float* x, float a, std::size_t n) {
-  for (std::size_t i = 0; i < n; ++i) y[i] += a * x[i];
-}
-
 void ReluScalar(float* x, std::size_t n) {
   for (std::size_t i = 0; i < n; ++i) x[i] = (x[i] < 0.0f) ? 0.0f : x[i];
 }
@@ -159,8 +151,6 @@ std::uint32_t Crc32Slice8(const std::uint8_t* data, std::size_t size) {
 
 const Kernels kScalarTable = {
     Tier::kScalar,
-    detail::FillScalar,
-    detail::SaxpyScalar,
     detail::ReluScalar,
     detail::MaxIntoScalar,
     detail::RangeNonzeroFiniteScalar,

@@ -10,31 +10,11 @@ namespace cooper::common::simd {
 namespace {
 
 using detail::DequantizeRowScalar;
-using detail::FillScalar;
 using detail::MaxIntoScalar;
 using detail::QuantizeRowScalar;
 using detail::RangeNonzeroFiniteScalar;
 using detail::ReluScalar;
 using detail::RigidTransformScalar;
-using detail::SaxpyScalar;
-
-void FillSse(float* y, float v, std::size_t n) {
-  const __m128 vv = _mm_set1_ps(v);
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) _mm_storeu_ps(y + i, vv);
-  FillScalar(y + i, v, n - i);
-}
-
-void SaxpySse(float* y, const float* x, float a, std::size_t n) {
-  const __m128 av = _mm_set1_ps(a);
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m128 xv = _mm_loadu_ps(x + i);
-    const __m128 yv = _mm_loadu_ps(y + i);
-    _mm_storeu_ps(y + i, _mm_add_ps(yv, _mm_mul_ps(av, xv)));
-  }
-  SaxpyScalar(y + i, x + i, a, n - i);
-}
 
 void ReluSse(float* x, std::size_t n) {
   const __m128 zero = _mm_setzero_ps();
@@ -232,8 +212,6 @@ void RigidTransformSse(const double rt[12], const double* in,
 
 const Kernels kSse42Table = {
     Tier::kSse42,
-    FillSse,
-    SaxpySse,
     ReluSse,
     MaxIntoSse,
     RangeNonzeroFiniteSse,

@@ -4,8 +4,8 @@
 // Cooper's DSRC feasibility analysis (§IV-G) makes the payload budget the
 // binding constraint as the cooperator count grows.  Below the paper's two
 // exchange rungs — raw clouds and ROI clouds — sits a third: the SPOD
-// pipeline's *voxel feature tensor*, tapped after VFE encoding but before
-// the detection head.  A feature map is an order of magnitude denser in
+// pipeline's *voxel feature tensor*, the VFE encoding of the detector's
+// own voxel grid.  A feature map is an order of magnitude denser in
 // information per byte than the points it summarizes: one row of C floats
 // stands in for up to `max_points_per_voxel` returns.
 //
@@ -19,7 +19,7 @@
 #include <cstdint>
 
 #include "geom/vec3.h"
-#include "nn/sparse_conv.h"
+#include "nn/tensor.h"
 #include "pointcloud/voxel_grid.h"
 
 namespace cooper::feat {

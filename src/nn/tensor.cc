@@ -26,20 +26,4 @@ float Tensor::Sum() const {
   return std::accumulate(data_.begin(), data_.end(), 0.0f);
 }
 
-Tensor MatMul(const Tensor& a, const Tensor& b) {
-  COOPER_CHECK(a.rank() == 2 && b.rank() == 2);
-  COOPER_CHECK(a.dim(1) == b.dim(0));
-  const std::size_t m = a.dim(0), k = a.dim(1), n = b.dim(1);
-  Tensor out({m, n});
-  const common::simd::Kernels& kr = common::simd::Active();
-  for (std::size_t i = 0; i < m; ++i) {
-    for (std::size_t p = 0; p < k; ++p) {
-      const float av = a.At(i, p);
-      if (av == 0.0f) continue;
-      kr.saxpy(out.data() + i * n, b.data() + p * n, av, n);
-    }
-  }
-  return out;
-}
-
 }  // namespace cooper::nn

@@ -1,5 +1,5 @@
-// Voxelisation of point clouds — the grouping step feeding SPOD's voxel
-// feature extractor and the sparse convolution middle layers (Fig. 1).
+// Voxelisation of point clouds — SPOD's detection grid and the grouping
+// step feeding the sender-side voxel feature extractor (Fig. 1).
 #pragma once
 
 #include <cstdint>
@@ -43,7 +43,8 @@ struct VoxelGridConfig {
   std::size_t max_points_per_voxel = 35;    // VoxelNet-style cap
   // Threads for voxel assignment and Downsample (<= 0: hardware concurrency,
   // 1: serial).  Voxel order and per-voxel point order are identical for
-  // every thread count (chunked grouping merged in chunk order).
+  // every thread count (chunked grouping merged in chunk order).  SPOD
+  // ignores the value configured here and uses `SpodConfig::num_threads`.
   int num_threads = 1;
 };
 

@@ -255,9 +255,13 @@ void TraceWriter::AppendConfig(const TraceConfig& c) {
   PutU8(p, c.icp_refinement ? 1 : 0);
   PutU64(p, c.detector_weight_seed);
   PutI32(p, c.num_threads);
-  PutU8(p, c.reuse_scratch ? 1 : 0);
+  // Two reserved u8 slots flank the obs byte.  They held retired pipeline
+  // knobs (scratch reuse, sparse-conv rulebook cache) that every recording
+  // left on, so they are written as constant 1 and ignored on decode —
+  // committed traces keep their bytes.
+  PutU8(p, 1);
   PutU8(p, c.observability ? 1 : 0);
-  PutU8(p, c.rulebook_cache ? 1 : 0);
+  PutU8(p, 1);
   PutF64(p, c.faults.drop_prob);
   PutF64(p, c.faults.duplicate_prob);
   PutF64(p, c.faults.reorder_prob);
@@ -447,7 +451,7 @@ Result<TraceConfig> DecodeConfig(const std::vector<std::uint8_t>& payload) {
   std::vector<std::uint8_t> name;
   if (!r.GetBytes(name_len, &name)) return Truncated("config");
   c.name.assign(name.begin(), name.end());
-  std::uint8_t cache = 0, icp = 0, reuse = 0, obs = 0, rulebook = 0;
+  std::uint8_t cache = 0, icp = 0, reserved = 0, obs = 0;
   if (!r.GetI32(&c.lidar.beams) || !r.GetF64(&c.lidar.fov_up_deg) ||
       !r.GetF64(&c.lidar.fov_down_deg) || !r.GetI32(&c.lidar.azimuth_steps) ||
       !r.GetF64(&c.lidar.max_range) || !r.GetF64(&c.lidar.min_range) ||
@@ -456,7 +460,7 @@ Result<TraceConfig> DecodeConfig(const std::vector<std::uint8_t>& payload) {
       !r.GetF64(&c.max_package_age_s) || !r.GetF64(&c.max_future_skew_s) ||
       !r.GetU32(&c.max_cooperators) || !r.GetU8(&cache) || !r.GetU8(&icp) ||
       !r.GetU64(&c.detector_weight_seed) || !r.GetI32(&c.num_threads) ||
-      !r.GetU8(&reuse) || !r.GetU8(&obs) || !r.GetU8(&rulebook) ||
+      !r.GetU8(&reserved) || !r.GetU8(&obs) || !r.GetU8(&reserved) ||
       !r.GetF64(&c.faults.drop_prob) || !r.GetF64(&c.faults.duplicate_prob) ||
       !r.GetF64(&c.faults.reorder_prob) || !r.GetF64(&c.faults.corrupt_prob) ||
       !r.GetF64(&c.faults.truncate_prob) || !r.GetF64(&c.faults.delay_prob) ||
@@ -471,9 +475,7 @@ Result<TraceConfig> DecodeConfig(const std::vector<std::uint8_t>& payload) {
   }
   c.cache_reconstructions = cache != 0;
   c.icp_refinement = icp != 0;
-  c.reuse_scratch = reuse != 0;
   c.observability = obs != 0;
-  c.rulebook_cache = rulebook != 0;
   return c;
 }
 

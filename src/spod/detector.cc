@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "common/timer.h"
-#include "feat/fusion.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "spod/clustering.h"
@@ -95,22 +94,13 @@ SpodConfig MakeSparseSpodConfig() {
   return c;
 }
 
-SpodDetector::Net SpodDetector::MakeNet(std::uint64_t seed) {
-  Rng rng(seed);
-  return Net{
-      nn::VoxelFeatureEncoder(8, rng),
-      nn::SparseConv3d(8, 8, 3, 1, nn::SparseConvMode::kSubmanifold, rng),
-      nn::SparseConv3d(8, 16, 3, 2, nn::SparseConvMode::kRegular, rng),
-      nn::SparseConv3d(16, 16, 3, 1, nn::SparseConvMode::kSubmanifold, rng),
-      nn::Conv2d(16, 16, 3, 2, 1, rng),
-      nn::Conv2d(16, 16, 3, 1, 1, rng),
-  };
-}
-
 SpodDetector::SpodDetector(const SpodConfig& config,
                            const SensorResolution& sensor,
                            std::uint64_t weight_seed)
-    : config_(config), sensor_(sensor), net_(MakeNet(weight_seed)) {}
+    : config_(config), sensor_(sensor), vfe_([weight_seed] {
+        Rng rng(weight_seed);
+        return nn::VoxelFeatureEncoder(8, rng);
+      }()) {}
 
 pc::PointCloud SpodDetector::Densify(const pc::PointCloud& cloud) const {
   if (!config_.densify_sparse_input) return cloud;
@@ -121,106 +111,65 @@ pc::PointCloud SpodDetector::Densify(const pc::PointCloud& cloud) const {
   return image.ToPointCloud();
 }
 
+SpodDetector::Prepared SpodDetector::Prepare(pc::PointCloud cloud,
+                                             common::StageTimer* timer,
+                                             StageTimings* timings) const {
+  cloud.RemoveInvalid();
+  const double ground_z = pc::EstimateGroundZ(cloud);
+  pc::PointCloud above = cloud.FilterMinZ(ground_z + config_.ground_margin);
+  if (timer != nullptr) timings->preprocess_us += timer->Lap("preprocess");
+
+  pc::VoxelGridConfig voxel_cfg = config_.voxel;
+  voxel_cfg.num_threads = config_.num_threads;
+  pc::VoxelGrid grid(above, voxel_cfg, &scratch_.voxel_grid);
+  if (timer != nullptr) timings->voxelize_us = timer->Lap("voxelize");
+  return Prepared{std::move(above), std::move(grid)};
+}
+
 SpodResult SpodDetector::Detect(const pc::PointCloud& input) const {
-  if (!config_.densify_sparse_input) return DetectPreprocessed(input);
-  obs::Span span("spod.detect", "spod");
-  common::StageTimer timer;
-  const pc::PointCloud densified = Densify(input);
-  const double densify_us = timer.Lap("densify");
-  SpodResult result = DetectPreprocessed(densified);
-  result.num_input_points = input.size();
-  result.timings.preprocess_us += densify_us;
-  return result;
+  return Run(input, config_.densify_sparse_input);
 }
 
 SpodResult SpodDetector::DetectPreprocessed(const pc::PointCloud& input) const {
-  return DetectWithFeatures(input, {});
+  return Run(input, /*densify=*/false);
+}
+
+SpodResult SpodDetector::DetectWithFeatures(
+    const pc::PointCloud& input,
+    const std::vector<const feat::FeatureMap*>& /*maps*/) const {
+  return DetectPreprocessed(input);
 }
 
 feat::FeatureMap SpodDetector::ExtractFeatureMap(
     const pc::PointCloud& input) const {
   obs::Span span("spod.extract_features", "spod");
-  PipelineScratch frame_scratch;
-  PipelineScratch& sc = config_.reuse_scratch ? scratch_ : frame_scratch;
-
-  pc::PointCloud cloud = Densify(input);
-  cloud.RemoveInvalid();
-  const double ground_z = pc::EstimateGroundZ(cloud);
-  pc::PointCloud above = cloud.FilterMinZ(ground_z + config_.ground_margin);
-
-  pc::VoxelGridConfig voxel_cfg = config_.voxel;
-  voxel_cfg.num_threads = config_.num_threads;
-  pc::VoxelGrid grid(above, voxel_cfg, &sc.voxel_grid);
-
+  const Prepared prep = Prepare(Densify(input), nullptr, nullptr);
   feat::FeatureMap map;
-  map.tensor = net_.vfe.Encode(above, grid);
-  map.origin = voxel_cfg.min_bound;
-  map.voxel_size = voxel_cfg.voxel_size;
+  map.tensor = vfe_.Encode(prep.above, prep.grid);
+  map.origin = prep.grid.config().min_bound;
+  map.voxel_size = prep.grid.config().voxel_size;
   COOPER_COUNT_N("spod.feature_sites_extracted", map.num_active());
   return map;
 }
 
-SpodResult SpodDetector::DetectWithFeatures(
-    const pc::PointCloud& input,
-    const std::vector<const feat::FeatureMap*>& maps) const {
+SpodResult SpodDetector::Run(const pc::PointCloud& input, bool densify) const {
   obs::Span span("spod.detect", "spod");
   SpodResult result;
   result.num_input_points = input.size();
   COOPER_COUNT_N("spod.input_points", input.size());
   common::StageTimer timer;
 
-  // Cross-frame working set: every consumer is bit-identical with or
-  // without its scratch, so the knob only changes allocation behaviour.
-  PipelineScratch frame_scratch;
-  PipelineScratch& sc = config_.reuse_scratch ? scratch_ : frame_scratch;
+  // --- Stages 1-2: preprocessing, voxelisation. ---
+  pc::PointCloud cloud = densify ? Densify(input) : input;
+  if (densify) result.timings.preprocess_us = timer.Lap("densify");
+  const Prepared prep = Prepare(std::move(cloud), &timer, &result.timings);
+  const pc::PointCloud& above = prep.above;
+  result.num_voxels = prep.grid.voxels().size();
 
-  // --- Stage 1: preprocessing. ---
-  pc::PointCloud cloud = input;
-  cloud.RemoveInvalid();
-  const double ground_z = pc::EstimateGroundZ(cloud);
-  pc::PointCloud above = cloud.FilterMinZ(ground_z + config_.ground_margin);
-  result.timings.preprocess_us = timer.Lap("preprocess");
-
-  // --- Stage 2: voxelisation + VFE. ---
-  pc::VoxelGridConfig voxel_cfg = config_.voxel;
-  voxel_cfg.num_threads = config_.num_threads;
-  pc::VoxelGrid grid(above, voxel_cfg, &sc.voxel_grid);
-  result.num_voxels = grid.voxels().size();
-  result.timings.voxelize_us = timer.Lap("voxelize");
-
-  nn::SparseTensor features = net_.vfe.Encode(above, grid);
-  // Cooperator feature maps (already ego-grid-aligned) maxout into the local
-  // tensor here — the F-Cooper fusion point: after VFE, before the middle
-  // layers, so the rest of the network sees one fused feature field.
-  if (!maps.empty()) feat::MaxoutFuse(&features, maps);
-  result.timings.vfe_us = timer.Lap("vfe");
-
-  // --- Stage 3: sparse convolutional middle layers. ---
-  // With the rulebook cache off every layer rebuilds its rulebook from the
-  // voxel geometry (same gather-GEMM path, no cross-frame state).
-  nn::SparseConvScratch* conv_sc =
-      config_.rulebook_cache ? &sc.sparse_conv : nullptr;
-  nn::SparseTensor mid =
-      net_.mid_sub1.Forward(features, config_.num_threads, conv_sc);
-  mid.features.Relu();
-  mid = net_.mid_down.Forward(mid, config_.num_threads, conv_sc);
-  mid.features.Relu();
-  mid = net_.mid_sub2.Forward(mid, config_.num_threads, conv_sc);
-  mid.features.Relu();
-  result.timings.middle_us = timer.Lap("middle");
-
-  // --- Stage 4: RPN over the BEV map. ---
-  nn::SparseToBev(mid, &sc.bev);
-  net_.rpn_conv1.ForwardInto(sc.bev, config_.num_threads, &sc.rpn1);
-  sc.rpn1.Relu();
-  net_.rpn_conv2.ForwardInto(sc.rpn1, config_.num_threads, &sc.rpn2);
-  sc.rpn2.Relu();
-  result.timings.rpn_us = timer.Lap("rpn");
-
-  // --- Stage 5: proposals, confidence, NMS. ---
+  // --- Stages 3-5: proposals, scoring, pairing + NMS. ---
   auto clusters = ClusterPoints(above, config_.cluster_merge_radius,
                                 config_.min_cluster_points, config_.num_threads,
-                                &sc.cluster);
+                                &scratch_.cluster);
   // Oversized clusters are usually several objects bridged by stray returns
   // (a car parked against a truck); split them once at a tighter radius so
   // the parts get their own proposals instead of a blanket rejection.
@@ -232,7 +181,7 @@ SpodResult SpodDetector::DetectWithFeatures(
         auto parts = ClusterPoints(cluster.points,
                                    0.55 * config_.cluster_merge_radius,
                                    config_.min_cluster_points,
-                                   config_.num_threads, &sc.cluster);
+                                   config_.num_threads, &scratch_.cluster);
         for (auto& part : parts) refined.push_back(std::move(part));
       } else {
         refined.push_back(std::move(cluster));
@@ -284,7 +233,7 @@ SpodResult SpodDetector::DetectWithFeatures(
 
   // Candidate buffers live in the scratch so their top-level capacity
   // carries across frames (the per-candidate point storage is rebuilt).
-  std::vector<DetectorCandidate>& candidates = sc.candidates;
+  std::vector<DetectorCandidate>& candidates = scratch_.candidates;
   candidates.clear();
   for (auto& cluster : clusters) {
     DetectorCandidate c;
@@ -328,7 +277,7 @@ SpodResult SpodDetector::DetectWithFeatures(
             [](const DetectorCandidate& a, const DetectorCandidate& b) {
               return a.det.score > b.det.score;
             });
-  std::vector<DetectorCandidate>& kept = sc.kept;
+  std::vector<DetectorCandidate>& kept = scratch_.kept;
   kept.clear();
   for (auto& c : candidates) {
     DetectorCandidate* overlaps = nullptr;

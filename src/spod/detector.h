@@ -1,14 +1,18 @@
 // SPOD — Sparse Point-cloud Object Detection (paper §III, Fig. 1).
 //
-// Stage structure mirrors the paper exactly:
-//   1. preprocessing      — invalid-point removal, spherical-projection
-//                           densification for sparse input [27], ground cut;
-//   2. voxel feature      — voxelisation + VFE encoding [31];
-//   3. sparse middle      — submanifold + strided sparse 3D convs [15];
-//   4. RPN head           — SSD-style conv stack over the BEV map [16, 21];
-//   5. proposals + score  — BEV clustering, oriented-box fit and completion,
-//                           evidence-calibrated confidence (DESIGN.md §4.3),
-//                           NMS and thresholding.
+// The paper draws SPOD as VFE -> sparse middle layers -> RPN.  Here every
+// detection comes from one straight path (DESIGN.md §4.3):
+//   1. preprocessing      — spherical-projection densification for sparse
+//                           input [27], invalid-point removal, ground cut;
+//   2. voxelisation       — the detection grid (voxel count is reported);
+//   3. proposals          — BEV clustering of the above-ground points, one
+//                           tighter split of oversized clusters;
+//   4. scoring            — oriented-box fit and completion per class
+//                           template, evidence-calibrated confidence;
+//   5. pairing + NMS      — opposite-face pairing and greedy NMS that merge
+//                           point evidence and refit.
+// The VFE [31] runs only on the sender side (`ExtractFeatureMap`): its
+// feature tensor is what a feature package carries.
 //
 // The same detector instance works on dense 64-beam clouds, sparse 16-beam
 // clouds and fused multi-vehicle clouds — the property Cooper depends on.
@@ -17,10 +21,8 @@
 #include <memory>
 #include <vector>
 
-#include "common/rng.h"
+#include "common/timer.h"
 #include "feat/feature_map.h"
-#include "nn/layers.h"
-#include "nn/sparse_conv.h"
 #include "nn/vfe.h"
 #include "spod/confidence.h"
 #include "spod/detection.h"
@@ -32,16 +34,10 @@ namespace cooper::spod {
 /// with common::StageTimer; CooperPipeline::DetectCooperative layers its
 /// own reconstruct/icp/merge/detect laps on top).
 struct StageTimings {
-  double preprocess_us = 0.0;
+  double preprocess_us = 0.0;  // densify (if configured) + ground cut
   double voxelize_us = 0.0;
-  double vfe_us = 0.0;
-  double middle_us = 0.0;
-  double rpn_us = 0.0;
-  double proposals_us = 0.0;
-  double TotalUs() const {
-    return preprocess_us + voxelize_us + vfe_us + middle_us + rpn_us +
-           proposals_us;
-  }
+  double proposals_us = 0.0;   // cluster, score, pair, NMS
+  double TotalUs() const { return preprocess_us + voxelize_us + proposals_us; }
 };
 
 struct SpodResult {
@@ -70,12 +66,9 @@ class SpodDetector {
   /// remote points hidden behind local occluders.
   SpodResult DetectPreprocessed(const pc::PointCloud& cloud) const;
 
-  /// DetectPreprocessed with cooperator feature maps maxout-fused into the
-  /// VFE tensor before the middle layers run (F-Cooper voxel fusion).  The
-  /// maps must already be in this detector's grid coordinates (see
-  /// feat::AlignToGrid); with no maps this is exactly DetectPreprocessed.
-  /// Maps fuse in caller order — pass them sorted by ascending sender id for
-  /// the repo-wide determinism guarantee.
+  /// Forward to DetectPreprocessed(cloud); `maps` is ignored.  Cooperator
+  /// feature maps contribute through the pseudo-points feat::AlignToGrid
+  /// emits, which the caller has already merged into `cloud`.
   SpodResult DetectWithFeatures(
       const pc::PointCloud& cloud,
       const std::vector<const feat::FeatureMap*>& maps) const;
@@ -83,9 +76,8 @@ class SpodDetector {
   /// Sender-side feature tap: the VFE voxel-feature tensor of `cloud` (own
   /// sensor frame), with the grid geometry needed to re-express it elsewhere.
   /// Runs preprocessing (densify-if-configured, invalid-point removal,
-  /// ground cut) and voxelization exactly as Detect would, then stops after
-  /// VFE encoding — the tap point is after stage 2, before the detection
-  /// head.
+  /// ground cut) and voxelization through the same code as Detect, then
+  /// VFE-encodes the grid.
   feat::FeatureMap ExtractFeatureMap(const pc::PointCloud& cloud) const;
 
   /// The densification preprocessing step alone (no-op unless the config
@@ -96,23 +88,29 @@ class SpodDetector {
   const SensorResolution& sensor() const { return sensor_; }
 
  private:
-  // Network stages (fixed deterministic weights; see DESIGN.md §4.3).
-  struct Net {
-    nn::VoxelFeatureEncoder vfe;
-    nn::SparseConv3d mid_sub1;  // submanifold 8->8
-    nn::SparseConv3d mid_down;  // regular stride-2 8->16
-    nn::SparseConv3d mid_sub2;  // submanifold 16->16
-    nn::Conv2d rpn_conv1;       // BEV 16->16 stride 2
-    nn::Conv2d rpn_conv2;       // BEV 16->16
+  // Stages 1-2 after densification, shared by detection and the feature tap
+  // so the sender's feature grid and the receiver's detection grid cannot
+  // drift apart: invalid-point removal, ground cut, voxelisation with the
+  // detector's thread count.
+  struct Prepared {
+    pc::PointCloud above;  // valid points above the ground cut
+    pc::VoxelGrid grid;    // voxelisation of `above`
   };
-  static Net MakeNet(std::uint64_t seed);
+  // `timer` (optional) laps "preprocess" and "voxelize" into `timings`.
+  Prepared Prepare(pc::PointCloud cloud, common::StageTimer* timer,
+                   StageTimings* timings) const;
+
+  // Detect and DetectPreprocessed: one `spod.detect` span per call.
+  SpodResult Run(const pc::PointCloud& input, bool densify) const;
 
   SpodConfig config_;
   SensorResolution sensor_;
-  Net net_;
-  // Cross-frame working set, reused when `config_.reuse_scratch` (cleared,
-  // not freed, between Detect calls).  Mutable: Detect stays const for
-  // callers; with reuse on, one instance must not Detect concurrently.
+  // Fixed deterministic weights (DESIGN.md §4.3); drawn first from
+  // Rng(weight_seed), so feature payloads depend only on the seed.
+  nn::VoxelFeatureEncoder vfe_;
+  // Cross-frame working set, cleared — not freed — between calls.
+  // Mutable: Detect stays const for callers, but one instance must not
+  // Detect (or ExtractFeatureMap) concurrently from several threads.
   mutable PipelineScratch scratch_;
 };
 

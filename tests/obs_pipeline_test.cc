@@ -235,5 +235,50 @@ TEST(ObsPipelineTest, SameSeedRerunsYieldIdenticalCounters) {
   obs::SetEnabled(false);
 }
 
+TEST(ObsPipelineTest, DensifyingDetectEmitsOneDetectSpan) {
+  // A densifying Detect is one detection: one `spod.detect` span, with the
+  // densify span inside it and its cost folded into the preprocess timing.
+  obs::SetEnabled(true);
+  obs::Tracer::Global().Clear();
+
+  const CooperConfig config = TestConfig();
+  ASSERT_TRUE(config.detector.densify_sparse_input);
+  const spod::SpodDetector detector(config.detector, config.sensor);
+  sim::Scenario scenario = sim::MakeTjScenario(2);
+  scenario.lidar.azimuth_steps = 900;
+  Rng rng(scenario.seed);
+  const pc::PointCloud cloud = sim::LidarSimulator(scenario.lidar).Scan(
+      scenario.scene, scenario.viewpoints[0].ToPose(), rng);
+  obs::Tracer::Global().Clear();
+  const spod::SpodResult result = detector.Detect(cloud);
+  EXPECT_EQ(result.num_input_points, cloud.size());
+  EXPECT_GT(result.timings.preprocess_us, 0.0);
+
+  std::ostringstream out;
+  obs::Tracer::Global().WriteChromeTrace(out);
+  const auto doc = obs::json::Parse(out.str());
+  ASSERT_TRUE(doc.has_value());
+  const auto* events = doc->Find("traceEvents");
+  ASSERT_NE(events, nullptr);
+  // Category "spod" only: ParallelFor participants re-open the enclosing
+  // span under category "parallel", and those are not extra detections.
+  std::size_t detect_spans = 0;
+  const obs::json::Value* detect = nullptr;
+  for (const auto& e : events->array) {
+    const auto* n = e.Find("name");
+    const auto* ph = e.Find("ph");
+    const auto* cat = e.Find("cat");
+    if (n != nullptr && ph != nullptr && cat != nullptr && ph->str == "X" &&
+        cat->str == "spod" && n->str == "spod.detect") {
+      ++detect_spans;
+      detect = &e;
+    }
+  }
+  EXPECT_EQ(detect_spans, 1u);
+  ExpectNested(detect, FindEvent(*events, "spod.densify"), "densify in detect");
+
+  obs::SetEnabled(false);
+}
+
 }  // namespace
 }  // namespace cooper::core

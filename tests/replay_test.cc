@@ -49,7 +49,7 @@ TEST(TraceFormat, ConfigRoundTrip) {
   TraceConfig config = SmallConfig();
   config.max_cooperators = 3;
   config.cache_reconstructions = false;
-  config.rulebook_cache = false;
+  config.observability = true;  // sits between the two reserved slots
   config.num_threads = 4;
   config.faults.drop_prob = 0.25;
   config.fault_seed = 99;
@@ -68,8 +68,7 @@ TEST(TraceFormat, ConfigRoundTrip) {
   EXPECT_EQ(decoded->lidar.azimuth_steps, 128);
   EXPECT_EQ(decoded->max_cooperators, 3u);
   EXPECT_FALSE(decoded->cache_reconstructions);
-  EXPECT_FALSE(decoded->rulebook_cache);
-  EXPECT_TRUE(decoded->reuse_scratch);
+  EXPECT_TRUE(decoded->observability);
   EXPECT_EQ(decoded->num_threads, 4);
   EXPECT_DOUBLE_EQ(decoded->faults.drop_prob, 0.25);
   EXPECT_EQ(decoded->fault_seed, 99u);
@@ -472,12 +471,12 @@ TEST(DiffReplays, EarlierStageWins) {
 }
 
 TEST(Matrix, ShapesAndNames) {
-  EXPECT_EQ(FullMatrix(4).size(), 36u);
-  EXPECT_EQ(SmokeMatrix(4).size(), 7u);
+  EXPECT_EQ(FullMatrix(4).size(), 10u);
+  EXPECT_EQ(SmokeMatrix(4).size(), 5u);
   MatrixCell cell;
   cell.num_threads = 4;
   cell.cache_reconstructions = false;
-  EXPECT_EQ(CellName(cell), "t4,nocache,reuse,noobs,rulebook,auto");
+  EXPECT_EQ(CellName(cell), "t4,nocache,noobs,auto");
   // Sticky observability: every obs=off cell must precede every obs=on one.
   bool seen_obs = false;
   for (const MatrixCell& c : FullMatrix(4)) {

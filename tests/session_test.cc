@@ -480,7 +480,7 @@ TEST(SessionParallelTest, FusionBitIdenticalAcrossThreadsAndCache) {
 
 TEST(SessionParallelTest, FeatureFusionBitIdenticalAcrossThreadsAndCache) {
   // Same invariant for the kVoxelFeatures path: codec decode, ego-grid
-  // alignment, pseudo-point merge and maxout fusion must be bit-identical at
+  // alignment and the pseudo-point merge must be bit-identical at
   // 1 and N threads, cache on and off.  Packages go through the real wire
   // (serialize + ReceiveWire) so the level byte is exercised end to end.
   const sim::Scenario scenario = [] {

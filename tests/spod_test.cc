@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 
 #include "common/rng.h"
 #include "sim/lidar.h"
@@ -359,23 +360,33 @@ TEST(DetectorTest, DeterministicResults) {
   }
 }
 
-TEST(DetectorTest, ScratchReuseIsBitIdentical) {
-  // Warm scratch (second and later frames on one instance), cold scratch
-  // (fresh instance per call) and scratch reuse disabled must all produce
-  // bit-identical detections, at one thread and several.
-  sim::Scene scene;
-  scene.AddObject(sim::ObjectClass::kCar, sim::MakeCarBox({12, 2, 0}, 30.0), 0.6);
-  scene.AddObject(sim::ObjectClass::kCar, sim::MakeCarBox({16, -5, 0}, 75.0), 0.6);
-  const pc::PointCloud cloud = ScanScene(scene, 64);
-  const auto base = DenseDetector().Detect(cloud);
-  ASSERT_FALSE(base.detections.empty());
+TEST(DetectorTest, ScratchReuseAcrossSizesIsBitIdentical) {
+  // One instance keeps its working storage across calls, cleared — not
+  // freed.  Driving it through clouds of different sizes (A -> B -> A), with
+  // a feature-map extraction in between that shares the voxel scratch, must
+  // reproduce a freshly constructed detector's output bit for bit, at one
+  // thread and several.
+  sim::Scene small_scene;
+  small_scene.AddObject(sim::ObjectClass::kCar,
+                        sim::MakeCarBox({12, 2, 0}, 30.0), 0.6);
+  sim::Scene big_scene = small_scene;
+  big_scene.AddObject(sim::ObjectClass::kCar, sim::MakeCarBox({16, -5, 0}, 75.0),
+                      0.6);
+  big_scene.AddObject(sim::ObjectClass::kCar, sim::MakeCarBox({25, 6, 0}, 10.0),
+                      0.6);
+  const pc::PointCloud cloud_a = ScanScene(small_scene, 64);
+  const pc::PointCloud cloud_b = ScanScene(big_scene, 64);
+  ASSERT_NE(cloud_a.size(), cloud_b.size());
 
-  auto expect_same = [&](const SpodResult& r, const char* what) {
-    ASSERT_EQ(r.detections.size(), base.detections.size()) << what;
-    for (std::size_t i = 0; i < base.detections.size(); ++i) {
-      const auto& a = base.detections[i];
-      const auto& b = r.detections[i];
+  auto expect_same = [](const SpodResult& want, const SpodResult& got,
+                        const std::string& what) {
+    EXPECT_EQ(got.num_voxels, want.num_voxels) << what;
+    ASSERT_EQ(got.detections.size(), want.detections.size()) << what;
+    for (std::size_t i = 0; i < want.detections.size(); ++i) {
+      const auto& a = want.detections[i];
+      const auto& b = got.detections[i];
       EXPECT_EQ(a.score, b.score) << what << " det " << i;
+      EXPECT_EQ(a.cls, b.cls) << what << " det " << i;
       EXPECT_EQ(a.num_points, b.num_points) << what << " det " << i;
       EXPECT_EQ(a.box.center.x, b.box.center.x) << what << " det " << i;
       EXPECT_EQ(a.box.center.y, b.box.center.y) << what << " det " << i;
@@ -386,33 +397,47 @@ TEST(DetectorTest, ScratchReuseIsBitIdentical) {
       EXPECT_EQ(a.box.yaw, b.box.yaw) << what << " det " << i;
     }
   };
+  auto expect_same_map = [](const feat::FeatureMap& want,
+                            const feat::FeatureMap& got) {
+    ASSERT_EQ(got.num_active(), want.num_active());
+    for (std::size_t i = 0; i < want.num_active(); ++i) {
+      ASSERT_EQ(got.tensor.coords[i], want.tensor.coords[i]) << i;
+    }
+    ASSERT_EQ(got.tensor.features.size(), want.tensor.features.size());
+    for (std::size_t i = 0; i < want.tensor.features.size(); ++i) {
+      ASSERT_EQ(got.tensor.features[i], want.tensor.features[i]) << i;
+    }
+  };
 
-  const SpodDetector warm = DenseDetector();
-  expect_same(warm.Detect(cloud), "warm frame 1");
-  expect_same(warm.Detect(cloud), "warm frame 2");  // rulebook cache hit path
-  expect_same(warm.Detect(cloud), "warm frame 3");
+  for (const int threads : {1, 4}) {
+    SpodConfig cfg = MakeDenseSpodConfig();
+    cfg.num_threads = threads;
+    const SensorResolution sensor = MakeSensorResolution(64, 2.0, -24.8, 720);
+    const SpodResult fresh_a = SpodDetector(cfg, sensor).Detect(cloud_a);
+    const SpodResult fresh_b = SpodDetector(cfg, sensor).Detect(cloud_b);
+    const feat::FeatureMap fresh_map =
+        SpodDetector(cfg, sensor).ExtractFeatureMap(cloud_b);
+    ASSERT_FALSE(fresh_a.detections.empty());
+    ASSERT_GT(fresh_b.detections.size(), fresh_a.detections.size());
 
-  SpodConfig no_reuse = MakeDenseSpodConfig();
-  no_reuse.reuse_scratch = false;
-  const SpodDetector cold(no_reuse, MakeSensorResolution(64, 2.0, -24.8, 720));
-  expect_same(cold.Detect(cloud), "reuse off");
-
-  SpodConfig threaded = MakeDenseSpodConfig();
-  threaded.num_threads = 4;
-  const SpodDetector par(threaded, MakeSensorResolution(64, 2.0, -24.8, 720));
-  expect_same(par.Detect(cloud), "4 threads frame 1");
-  expect_same(par.Detect(cloud), "4 threads frame 2");
+    const SpodDetector reused(cfg, sensor);
+    const std::string t = " t" + std::to_string(threads);
+    expect_same(fresh_a, reused.Detect(cloud_a), "A first" + t);
+    expect_same(fresh_b, reused.Detect(cloud_b), "B after A" + t);
+    expect_same_map(fresh_map, reused.ExtractFeatureMap(cloud_b));
+    expect_same(fresh_a, reused.Detect(cloud_a), "A after B + features" + t);
+    expect_same(fresh_a, reused.Detect(cloud_a), "A repeat" + t);
+  }
 }
 
 TEST(DetectorTest, TimingsArePopulated) {
   sim::Scene scene;
   scene.AddObject(sim::ObjectClass::kCar, sim::MakeCarBox({10, 0, 0}, 0.0), 0.6);
   const auto result = DenseDetector().Detect(ScanScene(scene, 64));
+  EXPECT_GT(result.timings.preprocess_us, 0.0);
   EXPECT_GT(result.timings.voxelize_us, 0.0);
-  EXPECT_GT(result.timings.vfe_us, 0.0);
-  EXPECT_GT(result.timings.middle_us, 0.0);
-  EXPECT_GT(result.timings.rpn_us, 0.0);
-  EXPECT_GT(result.timings.TotalUs(), result.timings.rpn_us);
+  EXPECT_GT(result.timings.proposals_us, 0.0);
+  EXPECT_GT(result.timings.TotalUs(), result.timings.proposals_us);
   EXPECT_GT(result.num_voxels, 0u);
 }
 
