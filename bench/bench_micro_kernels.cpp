@@ -1,6 +1,6 @@
 // Micro-benchmarks for the hot-path kernels this codebase optimises:
-// voxelisation with and without a reusable scratch, the ICP correspondence
-// gather and the frame CRC-32.
+// voxelisation with and without a reusable scratch, BEV clustering of the
+// fused KITTI cloud, the ICP correspondence gather and the frame CRC-32.
 //
 // Two modes:
 //   default       — timed run (best-of-reps), writes a JSON baseline to
@@ -9,7 +9,8 @@
 //   --smoke       — few iterations, no timing thresholds; instead asserts
 //                   that every optimised kernel is bit-identical to its
 //                   reference (scratch vs fresh, threaded vs serial, scalar
-//                   vs vector dispatch).  This is what the `perf` ctest
+//                   vs vector dispatch, clustering vs its brute-force
+//                   reference).  This is what the `perf` ctest
 //                   label runs, including under the sanitizer presets.
 #include <chrono>
 #include <cstdio>
@@ -20,10 +21,12 @@
 #include "common/rng.h"
 #include "common/simd.h"
 #include "common/status.h"
+#include "fig9_case.h"
 #include "net/crc32.h"
 #include "pointcloud/icp.h"
 #include "pointcloud/point_cloud.h"
 #include "pointcloud/voxel_grid.h"
+#include "spod/clustering.h"
 
 using namespace cooper;
 
@@ -71,7 +74,35 @@ pc::PointCloud MakeScanLikeCloud(std::size_t n, Rng& rng) {
   return cloud;
 }
 
+// Above-ground points of the fused KITTI T-junction cloud of Fig. 9 — the
+// input SpodDetector clusters on the Cooper step.
+pc::PointCloud FusedKittiAboveGround() {
+  const benchutil::Fig9Case p =
+      benchutil::PrepareFig9Case(sim::MakeKittiTJunction());
+  pc::PointCloud fused = p.fused_cloud;
+  fused.RemoveInvalid();
+  return fused.FilterMinZ(pc::EstimateGroundZ(fused) +
+                          p.config.detector.ground_margin);
+}
+
 // --- Bit-identity checks (the --smoke contract) ---
+
+void CheckClustersEqual(const std::vector<spod::Cluster>& a,
+                        const std::vector<spod::Cluster>& b, const char* what) {
+  COOPER_CHECK(a.size() == b.size());
+  for (std::size_t c = 0; c < a.size(); ++c) {
+    COOPER_CHECK(a[c].points.size() == b[c].points.size());
+    for (std::size_t i = 0; i < a[c].points.size(); ++i) {
+      const pc::Point& p = a[c].points[i];
+      const pc::Point& q = b[c].points[i];
+      COOPER_CHECK(p.position.x == q.position.x &&
+                   p.position.y == q.position.y &&
+                   p.position.z == q.position.z &&
+                   p.reflectance == q.reflectance);
+    }
+  }
+  std::printf("  %-32s bit-identical: yes\n", what);
+}
 
 void CheckGridsEqual(const pc::VoxelGrid& a, const pc::VoxelGrid& b,
                      const char* what) {
@@ -96,6 +127,8 @@ struct ScopedScalarMode {
 constexpr std::uint64_t kVoxelizeSeed = 101;
 constexpr std::uint64_t kIcpSeed = 505;
 constexpr std::uint64_t kCrcSeed = 606;
+// The dense-config merge radius (SpodConfig::cluster_merge_radius).
+constexpr double kClusterRadius = 0.9;
 
 }  // namespace
 
@@ -135,6 +168,31 @@ int main(int argc, char** argv) {
       mt.num_threads = 4;
       CheckGridsEqual(plain, pc::VoxelGrid(cloud, mt, &scratch),
                       "voxelize 4T vs 1T");
+    }
+  }
+
+  // --- BEV clustering of the fused KITTI cloud (SpodDetector's input) ---
+  std::size_t cluster_points = 0;
+  {
+    const pc::PointCloud above = FusedKittiAboveGround();
+    cluster_points = above.size();
+    std::printf("cluster: %zu above-ground points, radius %.2f m\n",
+                above.size(), kClusterRadius);
+    spod::ClusterScratch scratch;
+    std::vector<spod::Cluster> serial, threaded;
+    results.push_back(TimeKernel("cluster_kitti_fused", reps, [&] {
+      serial = spod::ClusterPoints(above, kClusterRadius, 1, 1, &scratch);
+      COOPER_CHECK(!serial.empty());
+    }));
+    results.push_back(TimeKernel("cluster_kitti_fused_4t", reps, [&] {
+      threaded = spod::ClusterPoints(above, kClusterRadius, 1, 4, &scratch);
+      COOPER_CHECK(!threaded.empty());
+    }));
+    if (smoke) {
+      const auto reference =
+          spod::ClusterPointsBruteForce(above, kClusterRadius, 1);
+      CheckClustersEqual(reference, serial, "cluster 1T vs brute force");
+      CheckClustersEqual(reference, threaded, "cluster 4T vs brute force");
     }
   }
 
@@ -245,7 +303,9 @@ int main(int argc, char** argv) {
                static_cast<unsigned long long>(kCrcSeed));
   std::fprintf(f,
                "  \"config\": {\"voxelize_points\": 120000, "
-               "\"icp_points\": 20000, \"crc_bytes\": 1048576},\n");
+               "\"cluster_points\": %zu, \"cluster_radius\": %.2f, "
+               "\"icp_points\": 20000, \"crc_bytes\": 1048576},\n",
+               cluster_points, kClusterRadius);
   std::fprintf(f, "  \"benchmarks\": [\n");
   for (std::size_t i = 0; i < results.size(); ++i) {
     const auto& r = results[i];

@@ -112,6 +112,7 @@ CaseOutcome RunCoopCase(const sim::Scenario& scenario, const sim::CoopCase& cc,
   outcome.package_payload_bytes = package.PayloadBytes();
   auto coop = pipeline.DetectCooperative(cloud_a, meta_a, package);
   COOPER_CHECK(coop.ok());
+  outcome.coop_step_us = coop.value().stages.TotalUs();
   outcome.result_coop = std::move(coop).value().fused;
   outcome.points_coop = cloud_a.size() + package.PayloadBytes() / 7;  // approx
 

@@ -47,6 +47,10 @@ struct CaseOutcome {
   double delta_d = 0.0;
   std::vector<TargetOutcome> targets;
   spod::SpodResult result_a, result_b, result_coop;
+  // Wall clock of the whole cooperative step (CooperOutput::stages).  Like
+  // result_a.timings, it includes densification; result_coop.timings does
+  // not (both clouds are densified before the fused detect).
+  double coop_step_us = 0.0;
   std::size_t package_payload_bytes = 0;  // compressed ROI payload
   std::size_t points_a = 0, points_b = 0, points_coop = 0;
 };

@@ -7,19 +7,13 @@
 #include <tuple>
 #include <utility>
 
+#include "common/status.h"
 #include "common/thread_pool.h"
-#include "pointcloud/kdtree.h"
 
 namespace cooper::spod {
 namespace {
 
 constexpr std::uint32_t kNone = 0xffffffffu;
-
-// Below this size the FlatMap grid costs more than it saves; a k-d tree over
-// z-flattened points answers the identical inclusive BEV-radius predicate
-// (squared norm with z = 0), so both paths produce the same merge-edge set
-// and therefore the same components.
-constexpr std::size_t kKdTreeMaxPoints = 256;
 
 // Union-find over point indices, on caller-owned storage.
 class DisjointSet {
@@ -43,6 +37,13 @@ class DisjointSet {
  private:
   std::vector<std::uint32_t>& parent_;
 };
+
+// The merge predicate: BEV distance within the radius, inclusive.
+bool WithinRadius(const pc::Point& a, const pc::Point& b, double r2) {
+  const double ddx = a.position.x - b.position.x;
+  const double ddy = a.position.y - b.position.y;
+  return ddx * ddx + ddy * ddy <= r2;
+}
 
 // Components -> clusters: scan points in ascending index order, opening a
 // cluster slot at each new root, so every cluster's first point is its
@@ -85,34 +86,20 @@ std::vector<Cluster> ClusterPoints(const pc::PointCloud& cloud,
                                    std::size_t min_points,
                                    int num_threads,
                                    ClusterScratch* scratch) {
+  COOPER_CHECK(std::isfinite(merge_radius) && merge_radius > 0.0);
   if (cloud.empty()) return {};
   ClusterScratch local;
   ClusterScratch& sc = scratch ? *scratch : local;
   const std::size_t n = cloud.size();
   DisjointSet ds(sc.parent, n);
 
-  if (n <= kKdTreeMaxPoints) {
-    // Small clouds: query a k-d tree over z-flattened points instead of
-    // building the cell index.  The output-parameter RadiusSearch reuses one
-    // result vector's capacity across all seeds.
-    sc.flat.clear();
-    sc.flat.reserve(n);
-    for (const auto& p : cloud) {
-      sc.flat.push_back({{p.position.x, p.position.y, 0.0}, p.reflectance});
-    }
-    const pc::KdTree tree(sc.flat);
-    for (std::uint32_t i = 0; i < n; ++i) {
-      tree.RadiusSearch(sc.flat[i].position, merge_radius, &sc.radius_result);
-      for (const std::uint32_t j : sc.radius_result) {
-        if (j > i) ds.Union(i, j);
-      }
-    }
-    return CollectClusters(cloud, ds, min_points, sc.root_slot);
-  }
-
   // Cell index: FlatMap cell -> dense cell id, with per-cell point lists as
   // prepend chains over two flat arrays (no per-cell vector allocations).
-  const double cell = merge_radius;
+  // A cell's diagonal is 0.7 * sqrt(2) = 0.99 of the radius, so two points
+  // sharing a cell always pass the merge predicate below (the 1% margin
+  // covers the rounding of floor(x / cell)); each point is unioned with its
+  // cell as it is filed, and no pair inside a cell is ever tested.
+  const double cell = 0.7 * merge_radius;
   sc.grid.Clear();
   sc.grid.Reserve(n / 2 + 16);
   sc.cell_keys.clear();
@@ -129,16 +116,32 @@ std::vector<Cluster> ClusterPoints(const pc::PointCloud& cloud,
       sc.cell_keys.push_back(key);
       sc.cell_head.push_back(kNone);
     }
-    sc.point_next[i] = sc.cell_head[*slot];
+    const std::uint32_t prev = sc.cell_head[*slot];
+    if (prev != kNone) ds.Union(i, prev);
+    sc.point_next[i] = prev;
     sc.cell_head[*slot] = i;
   }
 
-  // Parallel phase: the O(pairs) distance sweep — each seed cell emits the
-  // merge edges of its 3x3 neighbourhood into its chunk's scratch buffer.
-  // A qualifying pair is emitted exactly once (outer index < inner index),
-  // and since dist <= radius = cell size implies adjacent cells, the edge
-  // set is precisely every point pair within the BEV merge radius.
+  // Parallel phase: a point pair within the radius is at most two cells
+  // apart on each axis (radius / cell < 1.43), so each cell tests the 12
+  // forward cells of its 5x5 neighbourhood — every unordered cell pair
+  // once.  The scan of a cell pair stops at the first point pair within the
+  // radius and emits one cell-level edge (any member of each cell stands
+  // for it, since cells are already internally joined) into its chunk's
+  // scratch buffer.  The union of those edges connects exactly the points
+  // the pairwise predicate connects.
+  static constexpr int kForward[12][2] = {
+      {1, 0},  {2, 0},  {-2, 1}, {-1, 1}, {0, 1}, {1, 1},
+      {2, 1},  {-2, 2}, {-1, 2}, {0, 2},  {1, 2}, {2, 2}};
   const double r2 = merge_radius * merge_radius;
+  auto witness = [&](std::uint32_t a, std::uint32_t b) {
+    for (std::uint32_t i = a; i != kNone; i = sc.point_next[i]) {
+      for (std::uint32_t j = b; j != kNone; j = sc.point_next[j]) {
+        if (WithinRadius(cloud[i], cloud[j], r2)) return true;
+      }
+    }
+    return false;
+  };
   const std::size_t num_cells = sc.cell_keys.size();
   constexpr std::size_t kGrain = 32;
   const std::size_t num_parts = (num_cells + kGrain - 1) / kGrain;
@@ -150,31 +153,39 @@ std::vector<Cluster> ClusterPoints(const pc::PointCloud& cloud,
         auto& out = sc.parts[lo / kGrain];
         for (std::size_t ci = lo; ci < hi; ++ci) {
           const pc::VoxelCoord& key = sc.cell_keys[ci];
-          for (int dy = -1; dy <= 1; ++dy) {
-            for (int dx = -1; dx <= 1; ++dx) {
-              const std::uint32_t* nb =
-                  sc.grid.Find({key.x + dx, key.y + dy, 0});
-              if (nb == nullptr) continue;
-              for (std::uint32_t i = sc.cell_head[ci]; i != kNone;
-                   i = sc.point_next[i]) {
-                for (std::uint32_t j = sc.cell_head[*nb]; j != kNone;
-                     j = sc.point_next[j]) {
-                  if (j <= i) continue;
-                  const double ddx = cloud[i].position.x - cloud[j].position.x;
-                  const double ddy = cloud[i].position.y - cloud[j].position.y;
-                  if (ddx * ddx + ddy * ddy <= r2) out.push_back({i, j});
-                }
-              }
-            }
+          const std::uint32_t head = sc.cell_head[ci];
+          for (const auto& d : kForward) {
+            const std::uint32_t* nb =
+                sc.grid.Find({key.x + d[0], key.y + d[1], 0});
+            if (nb == nullptr) continue;
+            const std::uint32_t nb_head = sc.cell_head[*nb];
+            if (witness(head, nb_head)) out.push_back({head, nb_head});
           }
         }
       });
 
-  // Serial phase: union-find over the gathered edges.
+  // Serial phase: union-find over the gathered cell edges.
   for (std::size_t s = 0; s < num_parts; ++s) {
     for (const auto& e : sc.parts[s]) ds.Union(e.i, e.j);
   }
   return CollectClusters(cloud, ds, min_points, sc.root_slot);
+}
+
+std::vector<Cluster> ClusterPointsBruteForce(const pc::PointCloud& cloud,
+                                             double merge_radius,
+                                             std::size_t min_points) {
+  COOPER_CHECK(std::isfinite(merge_radius) && merge_radius > 0.0);
+  if (cloud.empty()) return {};
+  const std::size_t n = cloud.size();
+  std::vector<std::uint32_t> parent, root_slot;
+  DisjointSet ds(parent, n);
+  const double r2 = merge_radius * merge_radius;
+  for (std::uint32_t i = 0; i < n; ++i) {
+    for (std::uint32_t j = i + 1; j < n; ++j) {
+      if (WithinRadius(cloud[i], cloud[j], r2)) ds.Union(i, j);
+    }
+  }
+  return CollectClusters(cloud, ds, min_points, root_slot);
 }
 
 geom::Box3 FitOrientedBox(const pc::PointCloud& cluster) {

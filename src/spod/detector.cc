@@ -172,26 +172,30 @@ SpodResult SpodDetector::Run(const pc::PointCloud& input, bool densify) const {
                                 &scratch_.cluster);
   // Oversized clusters are usually several objects bridged by stray returns
   // (a car parked against a truck); split them once at a tighter radius so
-  // the parts get their own proposals instead of a blanket rejection.
-  {
-    std::vector<Cluster> refined;
-    for (auto& cluster : clusters) {
-      const geom::Box3 probe = FitOrientedBox(cluster.points);
-      if (probe.length > config_.max_length || probe.width > config_.max_width) {
-        auto parts = ClusterPoints(cluster.points,
-                                   0.55 * config_.cluster_merge_radius,
-                                   config_.min_cluster_points,
-                                   config_.num_threads, &scratch_.cluster);
-        for (auto& part : parts) refined.push_back(std::move(part));
-      } else {
-        refined.push_back(std::move(cluster));
+  // the parts get their own proposals instead of a blanket rejection.  The
+  // size probe of a cluster that stays whole is also its scoring fit.
+  std::vector<Cluster> proposals;
+  std::vector<geom::Box3> fits;  // oriented box of each proposal
+  for (auto& cluster : clusters) {
+    const geom::Box3 probe = FitOrientedBox(cluster.points);
+    if (probe.length > config_.max_length || probe.width > config_.max_width) {
+      auto parts = ClusterPoints(cluster.points,
+                                 0.55 * config_.cluster_merge_radius,
+                                 config_.min_cluster_points,
+                                 config_.num_threads, &scratch_.cluster);
+      for (auto& part : parts) {
+        fits.push_back(FitOrientedBox(part.points));
+        proposals.push_back(std::move(part));
       }
+    } else {
+      fits.push_back(probe);
+      proposals.push_back(std::move(cluster));
     }
-    clusters = std::move(refined);
   }
+  // `fitted` is FitOrientedBox(points), computed by the caller.
   auto score_cluster = [this](const pc::PointCloud& points,
+                              const geom::Box3& fitted,
                               Detection* out) -> bool {
-    const geom::Box3 fitted = FitOrientedBox(points);
     // Reject anything larger than every template (walls, buildings, merged
     // rows of cars).
     if (fitted.length > config_.max_length || fitted.width > config_.max_width) {
@@ -235,10 +239,10 @@ SpodResult SpodDetector::Run(const pc::PointCloud& input, bool densify) const {
   // carries across frames (the per-candidate point storage is rebuilt).
   std::vector<DetectorCandidate>& candidates = scratch_.candidates;
   candidates.clear();
-  for (auto& cluster : clusters) {
+  for (std::size_t i = 0; i < proposals.size(); ++i) {
     DetectorCandidate c;
-    if (!score_cluster(cluster.points, &c.det)) continue;
-    c.points = std::move(cluster.points);
+    if (!score_cluster(proposals[i].points, fits[i], &c.det)) continue;
+    c.points = std::move(proposals[i].points);
     candidates.push_back(std::move(c));
   }
 
@@ -259,7 +263,8 @@ SpodResult SpodDetector::Run(const pc::PointCloud& input, bool densify) const {
       Detection refit;
       const double best = std::max(candidates[i].det.score,
                                    candidates[j].det.score);
-      if (score_cluster(merged, &refit) && refit.score >= best - 0.02) {
+      if (score_cluster(merged, FitOrientedBox(merged), &refit) &&
+          refit.score >= best - 0.02) {
         candidates[i].points = std::move(merged);
         candidates[i].det = refit;
         candidates.erase(candidates.begin() + static_cast<std::ptrdiff_t>(j));
@@ -293,7 +298,8 @@ SpodResult SpodDetector::Run(const pc::PointCloud& input, bool densify) const {
     }
     overlaps->points.Merge(c.points);
     Detection refit;
-    if (score_cluster(overlaps->points, &refit) &&
+    if (score_cluster(overlaps->points, FitOrientedBox(overlaps->points),
+                      &refit) &&
         refit.score >= overlaps->det.score) {
       overlaps->det = refit;
     } else {

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <string>
 
 #include "common/rng.h"
@@ -90,10 +91,9 @@ void ExpectClustersIdentical(const std::vector<Cluster>& a,
 }
 
 TEST(ClusteringTest, ScratchAndThreadCountDoNotChangeClusters) {
-  pc::PointCloud cloud = GridPatch(0, 0, 2.0, 0.2);       // > 256 pts: grid path
+  pc::PointCloud cloud = GridPatch(0, 0, 2.0, 0.2);
   cloud.Merge(GridPatch(12, 4, 1.5, 0.2));
   cloud.Merge(GridPatch(-9, -7, 1.0, 0.2));
-  ASSERT_GT(cloud.size(), 256u);
   const auto base = ClusterPoints(cloud, 0.9, 5);
   ClusterScratch scratch;
   for (const int threads : {1, 2, 5}) {
@@ -104,16 +104,13 @@ TEST(ClusteringTest, ScratchAndThreadCountDoNotChangeClusters) {
   }
 }
 
-TEST(ClusteringTest, KdPathAgreesWithGridPathOnSharedStructure) {
-  // Two patches close to the origin; the small cloud (k-d path, <= 256 pts)
-  // and the same patches padded past 256 points with one distant extra patch
-  // (grid path) must produce identical clusters for the shared structure.
-  pc::PointCloud small = GridPatch(0, 0, 1.0, 0.25);      // 81 pts
-  small.Merge(GridPatch(8, 2, 1.0, 0.25));                // 162 total
-  ASSERT_LE(small.size(), 256u);
+TEST(ClusteringTest, DistantPaddingDoesNotChangeSharedClusters) {
+  // Two patches close to the origin, alone and padded with one distant extra
+  // patch: the shared structure must cluster identically.
+  pc::PointCloud small = GridPatch(0, 0, 1.0, 0.25);
+  small.Merge(GridPatch(8, 2, 1.0, 0.25));
   pc::PointCloud large = small;
-  large.Merge(GridPatch(60, 60, 1.5, 0.2));               // pushes past 256
-  ASSERT_GT(large.size(), 256u);
+  large.Merge(GridPatch(60, 60, 1.5, 0.2));
   const auto small_clusters = ClusterPoints(small, 0.9, 5);
   const auto large_clusters = ClusterPoints(large, 0.9, 5);
   ASSERT_EQ(small_clusters.size(), 2u);
@@ -123,6 +120,101 @@ TEST(ClusteringTest, KdPathAgreesWithGridPathOnSharedStructure) {
   std::vector<Cluster> shared(large_clusters.begin(),
                               large_clusters.begin() + 2);
   ExpectClustersIdentical(small_clusters, shared);
+}
+
+// Random scatter plus the geometry where a cell-based shortcut could go
+// wrong: pairs at exactly the radius, isolated pairs within 5% of it at
+// random orientations, points on and beside cell boundaries (cells are
+// 0.7 * radius), negative coordinates, duplicate BEV points.
+pc::PointCloud AdversarialCloud(double radius, Rng& rng) {
+  pc::PointCloud cloud;
+  for (int i = 0; i < 1500; ++i) {
+    cloud.Add({rng.Uniform(-12.0, 12.0), rng.Uniform(-12.0, 12.0),
+               rng.Uniform(-1.0, 2.0)},
+              static_cast<float>(rng.Uniform()));
+  }
+  for (int k = 0; k < 40; ++k) {  // pairs one radius apart along x and y
+    const double x0 = -30.0 - 3.0 * k, y0 = 20.0 + 3.0 * k;
+    cloud.Add({x0, y0, 0.0}, 0.1f);
+    cloud.Add({x0 + (k % 2 == 0 ? radius : -radius), y0, 0.0}, 0.2f);
+    cloud.Add({-x0, -y0, 0.0}, 0.3f);
+    cloud.Add({-x0, -y0 + (k % 2 == 0 ? radius : -radius), 0.0}, 0.4f);
+  }
+  // Exactly r apart (0 - r is exact), and one ulp past r.
+  cloud.Add({0.0, 40.0, 0.0}, 0.5f);
+  cloud.Add({radius, 40.0, 0.0}, 0.5f);
+  cloud.Add({0.0, -45.0, 0.0}, 0.5f);
+  cloud.Add({std::nextafter(radius, 2.0 * radius), -45.0, 0.0}, 0.5f);
+  const double cell = 0.7 * radius;
+  for (int k = -30; k <= 30; ++k) {  // on, just below and just above bounds
+    const double b = k * cell;
+    const double y = 60.0 + 0.37 * k;
+    cloud.Add({b, y, 0.0}, 0.6f);
+    cloud.Add({std::nextafter(b, -1e9), -y, 0.0}, 0.6f);
+    cloud.Add({std::nextafter(b, 1e9), y + 0.5 * cell, 0.0}, 0.6f);
+    cloud.Add({-y, b + radius, 0.0}, 0.6f);
+  }
+  for (int k = 0; k < 400; ++k) {  // isolated pairs just inside/outside r
+    const double x0 = 100.0 + 4.0 * (k % 20) + rng.Uniform();
+    const double y0 = -40.0 + 4.0 * (k / 20) + rng.Uniform();
+    const double d = radius * rng.Uniform(0.95, 1.05);
+    const double a = rng.Uniform(0.0, 6.283185307179586);
+    cloud.Add({x0, y0, 0.0}, 0.8f);
+    cloud.Add({x0 + d * std::cos(a), y0 + d * std::sin(a), 0.0}, 0.8f);
+  }
+  for (int k = 0; k < 200; ++k) {  // duplicate BEV points, distinct z
+    const pc::Point p = cloud[rng.UniformInt(cloud.size())];
+    cloud.Add({p.position.x, p.position.y, p.position.z + 0.5}, 0.7f);
+  }
+  return cloud;
+}
+
+// A dense fused car wall: 20k points on a 4.5 m x 0.15 m strip, plus a
+// sparser parallel wall about one radius away, so neighbouring cells hold
+// hundreds of points and some cell pairs have no pair within the radius.
+pc::PointCloud CarWallCloud(double radius, Rng& rng) {
+  pc::PointCloud cloud;
+  for (int i = 0; i < 20000; ++i) {
+    cloud.Add({rng.Uniform(5.0, 9.5), rng.Uniform(-2.0, -1.85),
+               rng.Uniform(-1.2, 0.3)},
+              0.5f);
+  }
+  for (int i = 0; i < 2000; ++i) {
+    cloud.Add({rng.Uniform(5.0, 9.5), -1.85 + radius * rng.Uniform(0.98, 1.3),
+               rng.Uniform(-1.2, 0.3)},
+              0.5f);
+  }
+  return cloud;
+}
+
+TEST(ClusteringTest, ComponentsMatchBruteForceOracle) {
+  // The merge and split radii of both detector configs.
+  ClusterScratch scratch;
+  for (const double radius : {0.9, 1.1, 0.495, 0.605}) {
+    Rng rng(static_cast<std::uint64_t>(radius * 1000));
+    for (const pc::PointCloud& cloud :
+         {AdversarialCloud(radius, rng), CarWallCloud(radius, rng)}) {
+      const auto expected = ClusterPointsBruteForce(cloud, radius, 1);
+      SCOPED_TRACE("radius " + std::to_string(radius) + ", " +
+                   std::to_string(cloud.size()) + " points");
+      for (const int threads : {1, 2, 4}) {
+        ExpectClustersIdentical(expected,
+                                ClusterPoints(cloud, radius, 1, threads));
+        ExpectClustersIdentical(
+            expected, ClusterPoints(cloud, radius, 1, threads, &scratch));
+      }
+    }
+  }
+}
+
+TEST(ClusteringDeathTest, NonPositiveOrNonFiniteRadiusAborts) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  const pc::PointCloud cloud = GridPatch(0, 0, 1.0, 0.25);
+  EXPECT_DEATH(ClusterPoints(cloud, 0.0, 1), "merge_radius");
+  EXPECT_DEATH(ClusterPoints(cloud, -0.9, 1), "merge_radius");
+  EXPECT_DEATH(ClusterPoints(cloud, std::numeric_limits<double>::infinity(), 1),
+               "merge_radius");
+  EXPECT_DEATH(ClusterPoints(cloud, std::nan(""), 1), "merge_radius");
 }
 
 // --- Box fitting ---
